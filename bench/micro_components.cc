@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's components:
- * trace generation, MOP detection, wakeup-matrix operations, cache
- * accesses, the scheduler loop, and end-to-end simulation throughput.
+ * trace generation, MOP detection, cache accesses, the scheduler
+ * loop, and end-to-end simulation throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 #include "mem/cache.hh"
 #include "sched/scheduler.hh"
 #include "pipeline/ooo_core.hh"
-#include "sched/wired_or.hh"
 #include "sim/config.hh"
 #include "sweep/fingerprint.hh"
 #include "trace/profiles.hh"
@@ -58,28 +57,6 @@ BM_MopDetectionStep(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_MopDetectionStep);
-
-void
-BM_WiredOrWakeup(benchmark::State &state)
-{
-    sched::WiredOrMatrix m(64);
-    for (int i = 0; i < 64; ++i) {
-        m.allocate(i);
-        if (i > 1) {
-            m.setDependence(i, i - 1);
-            m.setDependence(i, i - 2);
-        }
-    }
-    int line = 0;
-    for (auto _ : state) {
-        m.assertLine(line);
-        benchmark::DoNotOptimize(m.ready((line + 1) % 64));
-        m.deassertLine(line);
-        line = (line + 1) % 64;
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-BENCHMARK(BM_WiredOrWakeup);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -96,7 +96,12 @@ main()
         p.tailPc = kPc + 12;
         cache2.write(kPc + 8, p);
     }
-    core::MopFormation form(true, cache2);
+    // No commit feeds tags back here, so the pool only hands out
+    // fresh ones and never asks whether an entry still names a tag.
+    verify::IntegrityChecker integrity;
+    core::MopFormation form(true, cache2,
+                            {64, [](sched::Tag) { return false; },
+                             &integrity});
     auto o1 = form.process(mk(0, OpClass::IntAlu, 3, 1), 0);
     form.setHeadEntry(0, 0);
     auto o2 = form.process(mk(1, OpClass::IntAlu, 4, 3), 1);

@@ -1,13 +1,94 @@
 #include "core/mop_formation.hh"
 
 #include <algorithm>
+#include <string>
 
 namespace mop::core
 {
 
+sched::Tag
+Formation::allocTag()
+{
+    if (!parked_.empty()) {
+        // Reclaim, in park order, every parked tag no entry names now.
+        size_t kept = 0;
+        for (sched::Tag t : parked_) {
+            if (pool_.named(t))
+                parked_[kept++] = t;
+            else
+                free_.push_back(t);
+        }
+        parked_.resize(kept);
+    }
+    if (!free_.empty()) {
+        sched::Tag t = free_.back();
+        free_.pop_back();
+        return t;
+    }
+    if (next_ >= pool_.capacity) {
+        pool_.integrity->fail(
+            verify::IntegrityChecker::Check::TagLiveness,
+            "tag pool exhausted: all " + std::to_string(pool_.capacity) +
+                " tags live (" + std::to_string(parked_.size()) +
+                " parked behind issue-queue entries)");
+    }
+    holds_.push_back(0);
+    return next_++;
+}
+
+void
+Formation::releaseTag(sched::Tag t)
+{
+    if (t < 0)
+        return;
+    uint32_t &h = holds_[size_t(t)];
+    pool_.integrity->require(h > 0,
+                             verify::IntegrityChecker::Check::TagLiveness,
+                             [t] {
+                                 return "tag " + std::to_string(t) +
+                                        " released with no hold left";
+                             });
+    if (--h != 0)
+        return;
+    if (pool_.named(t))
+        parked_.push_back(t);
+    else
+        free_.push_back(t);
+}
+
+void
+Formation::restoreToCheckpoint()
+{
+    // Hold the restored mappings before dropping the squashed ones: a
+    // restored tag may be held otherwise only by the squashed µop that
+    // displaced it.
+    for (size_t r = 0; r < table_.size(); ++r) {
+        if (table_[r] != ckptTable_[r])
+            holdTag(ckptTable_[r]);
+    }
+    for (size_t r = 0; r < table_.size(); ++r) {
+        if (table_[r] != ckptTable_[r])
+            releaseTag(table_[r]);
+    }
+    table_ = ckptTable_;
+}
+
+sched::Tag
+Formation::remapDemoted(const isa::MicroOp &u)
+{
+    if (!u.hasDst())
+        return sched::kNoTag;
+    sched::Tag t = allocTag();
+    sched::Tag was = table_[size_t(u.dst)];
+    holdTag(t);
+    table_[size_t(u.dst)] = t;
+    releaseTag(was);
+    return t;
+}
+
 MopFormation::MopFormation(bool grouping_enabled, MopPointerCache &cache,
-                           int max_mop_size)
-    : Formation(grouping_enabled), cache_(cache),
+                           TagPoolBinding pool, int max_mop_size)
+    : Formation(grouping_enabled, std::move(pool)), cache_(cache),
       maxMopSize_(max_mop_size)
 {
 }
@@ -41,7 +122,7 @@ MopFormation::process(const isa::MicroOp &u, uint64_t dyn_id)
             out.independent = p.independent;
             out.dst = p.mopTag;
             if (u.hasDst())
-                table_[size_t(u.dst)] = p.mopTag;
+                out.prevTag = mapDst(u.dst, p.mopTag);
             ++groupsFormed_;
             if (p.independent)
                 ++independentFormed_;
@@ -97,11 +178,11 @@ MopFormation::process(const isa::MicroOp &u, uint64_t dyn_id)
         if (eligible) {
             out.role = FormOutcome::Role::Head;
             out.independent = ptr.independent;
-            sched::Tag m = freshTag();
+            sched::Tag m = allocTag();
             out.dst = m;  // the MOP's scheduling tag, even for heads
                           // with no architectural destination
             if (u.hasDst())
-                table_[size_t(u.dst)] = m;
+                out.prevTag = mapDst(u.dst, m);
             pending_.push_back(PendingHead{dyn_id, dyn_id + ptr.offset,
                                            ptr.tailPc, m, -1, 0,
                                            ptr.independent});
@@ -112,9 +193,8 @@ MopFormation::process(const isa::MicroOp &u, uint64_t dyn_id)
     // 3. Ordinary instruction: fresh tag per destination.
     out.role = FormOutcome::Role::Single;
     if (u.hasDst()) {
-        sched::Tag t = freshTag();
-        table_[size_t(u.dst)] = t;
-        out.dst = t;
+        out.dst = allocTag();
+        out.prevTag = mapDst(u.dst, out.dst);
     }
     return out;
 }
@@ -139,12 +219,7 @@ MopFormation::demoteTail(const isa::MicroOp &u, int entry)
         }
     }
     ++demotions_;
-    sched::Tag t = sched::kNoTag;
-    if (u.hasDst()) {
-        t = freshTag();
-        table_[size_t(u.dst)] = t;
-    }
-    return t;
+    return remapDemoted(u);
 }
 
 std::vector<int>

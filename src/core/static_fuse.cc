@@ -3,8 +3,8 @@
 namespace mop::core
 {
 
-StaticFuser::StaticFuser(bool grouping_enabled)
-    : Formation(grouping_enabled)
+StaticFuser::StaticFuser(bool grouping_enabled, TagPoolBinding pool)
+    : Formation(grouping_enabled, std::move(pool))
 {
 }
 
@@ -46,7 +46,7 @@ StaticFuser::process(const isa::MicroOp &u, uint64_t dyn_id)
             out.headDynId = p.headDynId;
             out.dst = p.mopTag;
             if (u.hasDst())
-                table_[size_t(u.dst)] = p.mopTag;
+                out.prevTag = mapDst(u.dst, p.mopTag);
             ++groupsFormed_;
             return out;
         }
@@ -58,9 +58,9 @@ StaticFuser::process(const isa::MicroOp &u, uint64_t dyn_id)
     //    with the pending bit exactly like a dynamic MOP head.
     if (enabled_ && headPattern(u)) {
         out.role = FormOutcome::Role::Head;
-        sched::Tag m = freshTag();
+        sched::Tag m = allocTag();
         out.dst = m;
-        table_[size_t(u.dst)] = m;
+        out.prevTag = mapDst(u.dst, m);
         head_ = PendingPair{true, dyn_id, u.dst, m, -1, 0};
         return out;
     }
@@ -68,9 +68,8 @@ StaticFuser::process(const isa::MicroOp &u, uint64_t dyn_id)
     // 3. Ordinary instruction: fresh tag per destination.
     out.role = FormOutcome::Role::Single;
     if (u.hasDst()) {
-        sched::Tag t = freshTag();
-        table_[size_t(u.dst)] = t;
-        out.dst = t;
+        out.dst = allocTag();
+        out.prevTag = mapDst(u.dst, out.dst);
     }
     return out;
 }
@@ -88,12 +87,7 @@ StaticFuser::demoteTail(const isa::MicroOp &u, int entry)
     if (entry >= 0 && head_.active && head_.entry == entry)
         head_.active = false;
     ++demotions_;
-    sched::Tag t = sched::kNoTag;
-    if (u.hasDst()) {
-        t = freshTag();
-        table_[size_t(u.dst)] = t;
-    }
-    return t;
+    return remapDemoted(u);
 }
 
 std::vector<int>

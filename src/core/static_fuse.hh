@@ -30,7 +30,7 @@ namespace mop::core
 class StaticFuser : public Formation
 {
   public:
-    explicit StaticFuser(bool grouping_enabled);
+    StaticFuser(bool grouping_enabled, TagPoolBinding pool);
 
     FormOutcome process(const isa::MicroOp &u, uint64_t dyn_id) override;
     void setHeadEntry(uint64_t head_dyn_id, int entry) override;

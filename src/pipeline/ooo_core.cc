@@ -10,6 +10,30 @@
 namespace mop::pipeline
 {
 
+namespace
+{
+
+/**
+ * Live-tag bound (DESIGN.md "Tag lifecycle"). Every live tag is mapped
+ * in the rename table (kNumLogicalRegs slots) or accounted for by one
+ * ROB entry: the µop that displaced its last mapping, or its producer
+ * for a MOP with no destination. With MOPs, dead tags can also be
+ * parked behind an entry whose head has committed: the entry outlives
+ * that commit by at most kMaxMopOps - 1 cycles (MOP ops are
+ * single-cycle and execute back to back), names at most kMaxEntrySrcs
+ * tags, and at most commitWidth heads commit per cycle.
+ */
+int
+tagBound(const CoreParams &p)
+{
+    int parked = p.mopEnabled ? p.commitWidth * (sched::kMaxMopOps - 1) *
+                                    sched::kMaxEntrySrcs
+                              : 0;
+    return isa::kNumLogicalRegs + p.robSize + parked;
+}
+
+} // namespace
+
 double
 SimResult::groupedFrac() const
 {
@@ -27,12 +51,16 @@ OooCore::OooCore(const CoreParams &params, trace::TraceSource &source)
                                                     ptrCache_);
     dynFormation_ =
         sched::policyFor(params_.sched.policyId).dynamicFormation();
+    core::TagPoolBinding pool{
+        tagBound(params_),
+        [this](sched::Tag t) { return sched_->tagNamed(t); }, &integrity_};
     if (dynFormation_) {
         formation_ = std::make_unique<core::MopFormation>(
-            params_.mopEnabled, ptrCache_, params_.detector.maxMopSize);
+            params_.mopEnabled, ptrCache_, std::move(pool),
+            params_.detector.maxMopSize);
     } else {
-        formation_ =
-            std::make_unique<core::StaticFuser>(params_.mopEnabled);
+        formation_ = std::make_unique<core::StaticFuser>(params_.mopEnabled,
+                                                         std::move(pool));
     }
 
     sched::SchedParams sp = params_.sched;
@@ -221,12 +249,24 @@ OooCore::squashWrongPath(uint64_t boundary)
             obs_->onCommit(tev);
         }
     }
+    sched_->squashAfter(boundary, now_);
+
+    // Rename-side recovery: the formation table and last-writer map
+    // revert to the branch's dispatch; pending pairing windows are
+    // dropped (squashAfter already unpended any surviving right-path
+    // head). The table is restored before the squashed µops release
+    // their tag holds, and after squashAfter freed their entries, so
+    // their tags return straight to the pool.
+    formation_->restoreToCheckpoint();
     wpSquashedUops_ += rob_.size() - keep;
     while (rob_.size() > keep) {
+        const RobEntry &re = rob_.back();
+        formation_->releaseTag(re.prevTag);
+        formation_->releaseTag(re.prodTag);
         // Stale dataflow producer records for recycled dyn ids would
         // trip the invariant check against a *future* µop's sources.
-        auto &slot = prodComplete_[rob_.back().dynId % kProdRing];
-        if (slot.first == rob_.back().dynId)
+        auto &slot = prodComplete_[re.dynId % kProdRing];
+        if (slot.first == re.dynId)
             slot = {~0ULL, 0};
         rob_.popBack();
     }
@@ -235,17 +275,10 @@ OooCore::squashWrongPath(uint64_t boundary)
     while (!frontend_.empty() && frontend_.back().dynId > boundary)
         frontend_.pop_back();
 
-    sched_->squashAfter(boundary, now_);
-
-    // Rename-side recovery: the formation table and last-writer map
-    // revert to the branch's dispatch; pending pairing windows are
-    // dropped (squashAfter already unpended any surviving right-path
-    // head). The tag allocator is monotonic and never rewound, but
-    // dyn ids must stay dense for the ROB ring, so the allocator
-    // rewinds to just after the branch.
-    formation_->restoreToCheckpoint();
     lastWriter_ = ckptLastWriter_;
     haveCkpt_ = false;
+    // Dyn ids must stay dense for the ROB ring, so their allocator
+    // rewinds to just after the branch.
     nextDynId_ = boundary + 1;
 
     wpSynth_.end();
@@ -341,6 +374,8 @@ OooCore::doCommit()
             ++res_.groupCounts[size_t(cls)];
         }
         ++res_.uops;
+        formation_->releaseTag(re.prevTag);
+        formation_->releaseTag(re.prodTag);
         rob_.popFront();
         ++n;
     }
@@ -436,6 +471,10 @@ OooCore::doQueueInsert()
             break;
           }
         }
+
+        formation_->holdTag(op.dst);
+        re.prevTag = out.prevTag;
+        re.prodTag = op.dst;
 
         if (f.u.hasDst())
             lastWriter_[size_t(f.u.dst)] = int64_t(f.dynId);

@@ -234,6 +234,10 @@ class OooCore
         sched::Cycle issueCycle = 0;   ///< last (re)issue cycle
         std::array<int64_t, 2> srcProducer = {-1, -1};  ///< dyn ids
         int64_t mopHeadId = -1;        ///< pairing id (head dyn id)
+        /** Tag-pool holds this µop gives back at commit or squash:
+         *  the mapping its destination displaced, and its own tag. */
+        sched::Tag prevTag = sched::kNoTag;
+        sched::Tag prodTag = sched::kNoTag;
         bool grouped = false;
         bool independent = false;
         bool isHead = false;
@@ -322,7 +326,8 @@ class OooCore
     void doWrongPathFetch();
     /** Flush everything younger than @p boundary (the resolved
      *  mispredicted branch): ROB suffix, frontend, scheduler entries,
-     *  formation/last-writer checkpoints and the dyn-id allocator. */
+     *  formation/last-writer checkpoints, the squashed µops' tags and
+     *  the dyn-id allocator. */
     void squashWrongPath(uint64_t boundary);
     /** Returns how many ops entered the scheduler this cycle. */
     int doQueueInsert();

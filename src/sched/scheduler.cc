@@ -54,6 +54,19 @@ forEachSetBit(const std::vector<uint64_t> &v, Fn &&fn)
     }
 }
 
+/** forEachSetBit over the intersection of a consumer-matrix row and
+ *  @p mask; each word is combined and copied before it is visited. */
+template <typename Fn>
+inline void
+forEachSetBitAnd(const uint64_t *row, const std::vector<uint64_t> &mask,
+                 Fn &&fn)
+{
+    for (size_t w = 0; w < mask.size(); ++w) {
+        for (uint64_t bits = row[w] & mask[w]; bits; bits &= bits - 1)
+            fn(w * 64 + size_t(std::countr_zero(bits)));
+    }
+}
+
 /** Source budget per issue-queue entry for each wakeup style. */
 int
 maxSrcsFor(WakeupStyle s)
@@ -106,9 +119,10 @@ Scheduler::Scheduler(const SchedParams &params)
     age_.resize(n, 0);
     opcls_.resize(n);
     cold_.resize(n);
-    validBits_.resize(bitWords(n), 0);
-    readyBits_.resize(bitWords(n), 0);
-    watchBits_.resize(bitWords(n), 0);
+    entryWords_ = bitWords(n);
+    validBits_.resize(entryWords_, 0);
+    readyBits_.resize(entryWords_, 0);
+    watchBits_.resize(entryWords_, 0);
     freeList_.reserve(n);
     for (int i = int(n) - 1; i >= 0; --i)
         freeList_.push_back(i);
@@ -187,6 +201,7 @@ Scheduler::ensureTag(Tag t)
         tagValueReady_.resize(n, kNoCycle);
         tagReadyAt_.resize(n, kNoCycle);
         tagMissPending_.resize(bitWords(n), 0);
+        consumers_.resize(n * entryWords_, 0);
         tagCap_ = n;
     }
 }
@@ -196,6 +211,51 @@ Scheduler::tagIsReady(Tag t) const
 {
     return t >= 0 && size_t(t) < tagCap_ &&
            testBit(tagReadyBits_, size_t(t));
+}
+
+bool
+Scheduler::tagNamed(Tag t) const
+{
+    if (t < 0 || size_t(t) >= tagCap_)
+        return false;
+    const uint64_t *row = consumerRow(t);
+    for (size_t w = 0; w < entryWords_; ++w) {
+        if (row[w])
+            return true;
+    }
+    return false;
+}
+
+void
+Scheduler::redefineTag(Tag t, Cycle now)
+{
+    integrity_.require(!tagNamed(t),
+                       verify::IntegrityChecker::Check::TagLiveness,
+                       [t, now] {
+                           return "tag " + std::to_string(t) +
+                                  " redefined at cycle " +
+                                  std::to_string(now) +
+                                  " while an issue-queue entry still "
+                                  "names it";
+                       });
+    clearBit(tagReadyBits_, size_t(t));
+    clearBit(tagMissPending_, size_t(t));
+    tagReadyAt_[size_t(t)] = kNoCycle;
+    tagValueReady_[size_t(t)] = kNoCycle;
+}
+
+void
+Scheduler::addConsumer(int idx, Tag t)
+{
+    uint64_t *row = consumerRow(t);
+    row[size_t(idx) >> 6] |= uint64_t(1) << (size_t(idx) & 63);
+}
+
+void
+Scheduler::setConsumerBitForTest(Tag t, int idx)
+{
+    ensureTag(t);
+    addConsumer(idx, t);
 }
 
 void
@@ -247,6 +307,11 @@ Scheduler::freeEntry(int idx)
         std::fprintf(stderr, "[tag] freeEntry entry=%d numOps=%d outBcast=%d\n",
                      idx, int(opcls_[size_t(idx)].numOps), c.outBcast);
     cancelBcast(idx);
+    const uint64_t bit = uint64_t(1) << (size_t(idx) & 63);
+    for (int s = 0; s < st.numSrcs; ++s) {
+        Tag t = srcTag_[size_t(idx)][size_t(s)];
+        consumerRow(t)[size_t(idx) >> 6] &= ~bit;
+    }
     st.flags &= uint8_t(~kFValid);
     clearBit(validBits_, size_t(idx));
     clearBit(readyBits_, size_t(idx));
@@ -271,6 +336,9 @@ Scheduler::insert(const SchedOp &op, Cycle now, bool expect_tail)
     ensureTag(op.dst);
     ensureTag(op.src[0]);
     ensureTag(op.src[1]);
+
+    if (op.dst >= 0)
+        redefineTag(op.dst, now);
 
     int idx = allocEntry();
     EntryState &st = state_[size_t(idx)];
@@ -303,6 +371,7 @@ Scheduler::insert(const SchedOp &op, Cycle now, bool expect_tail)
             continue;
         int s = st.numSrcs++;
         srcTag_[size_t(idx)][size_t(s)] = t;
+        addConsumer(idx, t);
         bool rdy = tagIsReady(t);
         if (!rdy)
             st.wait |= uint8_t(1u << unsigned(s));
@@ -380,6 +449,7 @@ Scheduler::appendTail(int idx, const SchedOp &tail, Cycle now,
         Tag t = fresh[size_t(f)];
         int s = st.numSrcs++;
         srcTag_[size_t(idx)][size_t(s)] = t;
+        addConsumer(idx, t);
         bool rdy = tagIsReady(t);
         if (!rdy)
             st.wait |= uint8_t(1u << unsigned(s));
@@ -500,10 +570,10 @@ Scheduler::deliverTag(Tag tag, Cycle now)
     if (debugTrace_)
         std::fprintf(stderr, "[sched] %lu: deliver tag=%d\n",
                      (unsigned long)now, tag);
-    // Wakeup broadcast: only entries still waiting on some source can
-    // be affected, so walk the watch bitmap and compare the packed
-    // tag plane for the waiting slots alone.
-    forEachSetBit(watchBits_, [&](size_t i) {
+    // Wakeup broadcast: only this tag's consumers that still wait on
+    // some source can be affected; compare the packed tag plane for
+    // their waiting slots alone.
+    forEachSetBitAnd(consumerRow(tag), watchBits_, [&](size_t i) {
         const std::array<Tag, kMaxEntrySrcs> &tags = srcTag_[i];
         EntryState &st = state_[i];
         uint8_t woken = 0;
@@ -607,7 +677,7 @@ Scheduler::recallTag(Tag tag, Cycle now)
         std::fprintf(stderr, "[sched] %lu: recall tag=%d\n",
                      (unsigned long)now, tag);
 
-    forEachSetBit(validBits_, [&](size_t i) {
+    forEachSetBitAnd(consumerRow(tag), validBits_, [&](size_t i) {
         EntryState &st = state_[i];
         EntryCold &c = cold_[i];
         uint8_t ready = uint8_t(~st.wait) & srcMask(st.numSrcs);
@@ -1127,6 +1197,7 @@ Scheduler::auditStructures()
     using Check = verify::IntegrityChecker::Check;
 
     int n_valid = 0;
+    uint64_t n_named = 0;
     int max_ops = std::min(params_.maxMopSize, kMaxMopOps);
     for (size_t i = 0; i < state_.size(); ++i) {
         const EntryState &st = state_[i];
@@ -1210,6 +1281,18 @@ Scheduler::auditStructures()
                 return "entry " + std::to_string(i) +
                        " waits on a source slot past numSrcs";
             });
+        for (int s = 0; s < st.numSrcs; ++s) {
+            Tag t = srcTag_[i][size_t(s)];
+            integrity_.require(
+                t >= 0 && size_t(t) < tagCap_ &&
+                    ((consumerRow(t)[i >> 6] >> (i & 63)) & 1),
+                Check::TagLiveness, [i, t] {
+                    return "entry " + std::to_string(i) + " names tag " +
+                           std::to_string(t) +
+                           " but is missing from its consumer row";
+                });
+        }
+        n_named += st.numSrcs;
 
         if (c.outBcast >= 0) {
             bool in_pool = size_t(c.outBcast) < bcastCal_.poolSize();
@@ -1230,6 +1313,18 @@ Scheduler::auditStructures()
         }
     }
 
+    // Every named slot has its bit (above) and no other bit is set:
+    // the consumer matrix is exactly the valid entries' source slots.
+    uint64_t n_bits = 0;
+    for (uint64_t w : consumers_)
+        n_bits += uint64_t(std::popcount(w));
+    integrity_.require(n_named == n_bits, Check::TagLiveness,
+                       [n_bits, n_named] {
+                           return "consumer matrix holds " +
+                                  std::to_string(n_bits) + " bits for " +
+                                  std::to_string(n_named) +
+                                  " named source slots";
+                       });
     integrity_.require(n_valid == occupied_, Check::IqAccounting,
                        [this, n_valid] {
                            return "occupancy counter " +

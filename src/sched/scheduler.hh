@@ -28,6 +28,16 @@
  * scheduler-visible latency of the policy; this reproduces exactly the
  * wakeup/select timings of Figure 5.
  *
+ * Wakeup is dependence-indexed, in the spirit of the wired-OR array of
+ * Section 2.2 (Goshima et al.): a tag x IQ-entry consumer matrix holds,
+ * for every tag, the bitmap of issue-queue entries naming it as a
+ * source. A broadcast visits only the consumers of its tag that still
+ * wait, and a recall only the consumers of its tag, instead of
+ * comparing the tag against every entry. Tags are recycled by the
+ * producer of the op stream (the core's Formation keeps a bounded
+ * pool); a Single or Head insert that defines a tag resets its ready
+ * state and requires that no entry still names it (TagLiveness).
+ *
  * Loads are scheduled speculatively assuming a DL1 hit. On a miss,
  * discovered when address generation completes, the speculative
  * broadcast is recalled: ready bits set by it are cleared transitively
@@ -140,6 +150,9 @@ class Scheduler
     int occupancy() const { return occupied_; }
     int capacity() const { return int(state_.size()); }
     bool tagIsReady(Tag t) const;
+    /** True iff some issue-queue entry names @p t as a source; a tag
+     *  may be redefined only once this is false. O(IQ words). */
+    bool tagNamed(Tag t) const;
 
     // --- event-driven cycle skipping -----------------------------------
 
@@ -195,11 +208,17 @@ class Scheduler
     /**
      * Full structural audit of the issue queue and broadcast pool:
      * occupancy accounting, free-list consistency, MOP head/tail
-     * pairing, and outstanding-broadcast liveness. Runs periodically
-     * from tick() and at end of run; throws IntegrityError on any
-     * violated invariant. Cheap enough to be always-on (cold path).
+     * pairing, consumer-matrix exactness and outstanding-broadcast
+     * liveness. Runs periodically from tick() and at end of run;
+     * throws IntegrityError on any violated invariant. Cheap enough
+     * to be always-on (cold path).
      */
     void auditStructures();
+
+    /** Test hook: mark entry @p idx as a consumer of @p t without
+     *  giving it a source slot (a stray matrix bit the audit must
+     *  catch). */
+    void setConsumerBitForTest(Tag t, int idx);
 
     /** Human-readable snapshot of the issue queue (for --dump-on-error). */
     void dumpState(std::ostream &os) const;
@@ -367,7 +386,23 @@ class Scheduler
     void invalidateEntry(int idx, Cycle now);
     void doSelect(Cycle now, std::vector<MopIssue> *mop_issues);
     void issueEntry(int idx, Cycle now, std::vector<MopIssue> *mop_issues);
+    /** Grow every tag-indexed plane so that @p t is tracked. */
     void ensureTag(Tag t);
+    /** A Single or Head insert defines @p t: reset its ready state
+     *  (the previous definition of a recycled tag may have left it
+     *  ready, recalled or miss-pending) after checking that no entry
+     *  still names it. */
+    void redefineTag(Tag t, Cycle now);
+    /** Record entry @p idx as a consumer of @p t (source slot add). */
+    void addConsumer(int idx, Tag t);
+    uint64_t *consumerRow(Tag t)
+    {
+        return consumers_.data() + size_t(t) * entryWords_;
+    }
+    const uint64_t *consumerRow(Tag t) const
+    {
+        return consumers_.data() + size_t(t) * entryWords_;
+    }
     int &slotDebt(Cycle c);
 
     SchedParams params_;
@@ -412,6 +447,13 @@ class Scheduler
      *  all completed once its broadcast has left the bus; no
      *  completion event remains to free it through the normal path. */
     void maybeReapShrunken(int idx);
+
+    /** Consumer matrix: row t (entryWords_ words) has bit i set iff
+     *  valid entry i names tag t as a source. Bits are set when
+     *  insert/appendTail add a source slot and cleared by freeEntry;
+     *  squashAfter keeps srcTag_/numSrcs, so the rows stay exact. */
+    std::vector<uint64_t> consumers_;
+    size_t entryWords_ = 0;
 
     /** tag -> architecturally-ready bit (may be unset by recalls). */
     std::vector<uint64_t> tagReadyBits_;

@@ -76,7 +76,9 @@ enum class PolicyId : uint8_t
 
 constexpr int kNumPolicyIds = int(PolicyId::StaticFuse) + 1;
 
-/** Wakeup-array flavour; constrains MOP source-operand counts. */
+/** Wakeup-array flavour; constrains MOP source-operand counts. Both
+ *  styles share the scheduler's tag x entry consumer matrix; the style
+ *  only sets the per-entry source budget. */
 enum class WakeupStyle : uint8_t
 {
     Cam2,     ///< CAM with two tag comparators per entry

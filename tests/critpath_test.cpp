@@ -20,6 +20,7 @@
 #include "obs/critpath.hh"
 #include "obs/telemetry.hh"
 #include "trace/trace_file.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -27,11 +28,7 @@ namespace
 using namespace mop;
 using trace::CycleEvent;
 
-std::string
-tmpPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
+using mop::test::tmpPath;
 
 CycleEvent
 uop(uint64_t seq, uint64_t fetch, uint64_t queueReady, uint64_t insert,
@@ -491,11 +488,13 @@ TEST(Telemetry, BatchLabelIsEscapedPerTextFormat)
         std::string::npos);
     // No raw newline may survive inside a series line.
     for (size_t p = text.find('\n'); p != std::string::npos;
-         p = text.find('\n', p + 1))
-        if (p + 1 < text.size())
+         p = text.find('\n', p + 1)) {
+        if (p + 1 < text.size()) {
             EXPECT_TRUE(text[p + 1] == '#' ||
                         text.compare(p + 1, 4, "mop_") == 0)
                 << "series line broken at offset " << p;
+        }
+    }
 
     // And the label rides on every series, counters included.
     EXPECT_NE(text.find("mop_sweep_retries_total{batch="),

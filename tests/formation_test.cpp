@@ -2,10 +2,14 @@
  * @file
  * MOP formation tests: the dependence-translation table of Figure 10,
  * the pending/insert-group policy of Figure 11, pointer verification
- * against diverging control flow, and tail demotion.
+ * against diverging control flow, tail demotion, and the bounded tag
+ * pool (hold counting, LIFO reuse, parking behind issue-queue
+ * consumers, exhaustion, wrong-path restore).
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "core/mop_formation.hh"
 
@@ -32,6 +36,14 @@ alu(uint64_t dyn_id, int dst, int s0 = -1, int s1 = -1)
     return u;
 }
 
+/** A pool no issue queue names: these tests drive formation alone. */
+TagPoolBinding
+unnamedPool(int capacity = 1024)
+{
+    static mop::verify::IntegrityChecker chk;
+    return {capacity, [](Tag) { return false; }, &chk};
+}
+
 void
 writePointer(MopPointerCache &c, uint64_t head_dyn, uint8_t offset,
              bool independent = false)
@@ -51,7 +63,7 @@ TEST(Formation, Figure10TranslationExample)
     MopPointerCache cache;
     writePointer(cache, 0, 1);
     writePointer(cache, 2, 1);
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
 
     FormOutcome o1 = f.process(alu(0, 3, 1), 0);
     EXPECT_EQ(o1.role, Role::Head);
@@ -88,7 +100,7 @@ TEST(Formation, DisabledNeverGroups)
 {
     MopPointerCache cache;
     writePointer(cache, 0, 1);
-    MopFormation f(false, cache);
+    MopFormation f(false, cache, unnamedPool());
     FormOutcome o1 = f.process(alu(0, 1), 0);
     EXPECT_EQ(o1.role, Role::Single);
     FormOutcome o2 = f.process(alu(1, 2, 1), 1);
@@ -99,7 +111,7 @@ TEST(Formation, DisabledNeverGroups)
 TEST(Formation, FreshTagsAreUnique)
 {
     MopPointerCache cache;
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
     Tag a = f.process(alu(0, 1), 0).dst;
     Tag b = f.process(alu(1, 2), 1).dst;
     Tag c = f.process(alu(2, 3), 2).dst;
@@ -111,7 +123,7 @@ TEST(Formation, PendingExpiresAfterTwoGroupBoundaries)
 {
     MopPointerCache cache;
     writePointer(cache, 0, 5);
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
     FormOutcome o = f.process(alu(0, 1), 0);
     ASSERT_EQ(o.role, Role::Head);
     f.setHeadEntry(0, 7);
@@ -129,7 +141,7 @@ TEST(Formation, VerifyFailOnUnexpectedInstruction)
 {
     MopPointerCache cache;
     writePointer(cache, 0, 2);
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
     FormOutcome h = f.process(alu(0, 1), 0);
     ASSERT_EQ(h.role, Role::Head);
     f.setHeadEntry(0, 9);
@@ -147,7 +159,7 @@ TEST(Formation, DemoteTailAssignsFreshTag)
 {
     MopPointerCache cache;
     writePointer(cache, 0, 1);
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
     f.process(alu(0, 1), 0);
     f.setHeadEntry(0, 3);
     FormOutcome t = f.process(alu(1, 2, 1), 1);
@@ -167,7 +179,7 @@ TEST(Formation, TailClaimedByOnlyOneHead)
     MopPointerCache cache;
     writePointer(cache, 0, 2);
     writePointer(cache, 1, 1);  // would claim the same tail (dyn 2)
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
     EXPECT_EQ(f.process(alu(0, 1), 0).role, Role::Head);
     f.setHeadEntry(0, 1);
     // Second head's expected tail is already claimed: stays single.
@@ -185,7 +197,7 @@ TEST(Formation, IndependentPointerAllowsNonValueGenHead)
     p.tailPc = kPc + 4;
     p.independent = true;
     cache.write(kPc, p);
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
     MicroOp store;
     store.pc = kPc;
     store.op = OpClass::StoreAddr;
@@ -200,7 +212,7 @@ TEST(Formation, DependentPointerRequiresValueGenHead)
 {
     MopPointerCache cache;
     writePointer(cache, 0, 1, /*independent=*/false);
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
     MicroOp store;
     store.pc = kPc;
     store.op = OpClass::StoreAddr;
@@ -211,10 +223,113 @@ TEST(Formation, DependentPointerRequiresValueGenHead)
 TEST(Formation, ZeroRegisterSourcesNeverTranslate)
 {
     MopPointerCache cache;
-    MopFormation f(true, cache);
+    MopFormation f(true, cache, unnamedPool());
     f.process(alu(0, mop::isa::kZeroReg), 0);  // dst is the zero reg
     FormOutcome o = f.process(alu(1, 2, mop::isa::kZeroReg), 1);
     EXPECT_EQ(o.src[0], kNoTag);
+}
+
+// --- bounded tag pool --------------------------------------------------
+
+/** Rename one µop the way the core does: process, then take the
+ *  producer hold on its tag. Returns {prevTag, dst}. */
+std::pair<Tag, Tag>
+rename(Formation &f, const MicroOp &u, uint64_t dyn)
+{
+    FormOutcome o = f.process(u, dyn);
+    f.holdTag(o.dst);
+    return {o.prevTag, o.dst};
+}
+
+void
+retire(Formation &f, std::pair<Tag, Tag> holds)
+{
+    f.releaseTag(holds.first);
+    f.releaseTag(holds.second);
+}
+
+TEST(TagPool, CommitOfTheOverwriterFreesTheTag)
+{
+    MopPointerCache cache;
+    MopFormation f(false, cache, unnamedPool());
+    auto a = rename(f, alu(0, 1), 0);     // r1 -> t0
+    auto b = rename(f, alu(1, 1, 1), 1);  // r1 -> t1, displaces t0
+    EXPECT_EQ(a.first, kNoTag);
+    EXPECT_EQ(b.first, a.second);
+    retire(f, a);  // t0 still held: b displaced it but has not committed
+    EXPECT_EQ(rename(f, alu(2, 2), 2).second, 2);
+    retire(f, b);  // overwriter commits: t0 is dead
+    EXPECT_EQ(rename(f, alu(3, 3), 3).second, a.second);
+    EXPECT_EQ(f.tagsMinted(), 3);
+}
+
+TEST(TagPool, MopTagLivesUntilEveryMappingIsOverwritten)
+{
+    MopPointerCache cache;
+    writePointer(cache, 0, 1);
+    MopFormation f(true, cache, unnamedPool());
+    auto h = rename(f, alu(0, 1), 0);
+    f.setHeadEntry(0, 3);
+    auto t = rename(f, alu(1, 2, 1), 1);  // joins: r1 and r2 map m
+    ASSERT_EQ(t.second, h.second);
+    retire(f, h);
+    retire(f, t);
+    auto o1 = rename(f, alu(2, 1), 2);  // overwrites r1 only
+    retire(f, o1);
+    EXPECT_NE(rename(f, alu(3, 4), 3).second, h.second);  // r2 holds m
+    auto o2 = rename(f, alu(4, 2), 4);
+    retire(f, o2);
+    EXPECT_EQ(rename(f, alu(5, 5), 5).second, h.second);
+}
+
+TEST(TagPool, DeadTagParksWhileTheSchedulerNamesIt)
+{
+    MopPointerCache cache;
+    std::set<Tag> named;
+    mop::verify::IntegrityChecker chk;
+    MopFormation f(false, cache,
+                   {1024, [&named](Tag t) { return named.count(t) > 0; },
+                    &chk});
+    auto a = rename(f, alu(0, 1), 0);
+    auto b = rename(f, alu(1, 1), 1);
+    named.insert(a.second);  // a MOP entry still names t0
+    retire(f, a);
+    retire(f, b);
+    EXPECT_EQ(rename(f, alu(2, 2), 2).second, 2);  // t0 parked: mint
+    named.clear();
+    EXPECT_EQ(rename(f, alu(3, 3), 3).second, a.second);  // reclaimed
+}
+
+TEST(TagPool, ExhaustionIsAnIntegrityError)
+{
+    MopPointerCache cache;
+    mop::verify::IntegrityChecker chk;
+    MopFormation f(false, cache, {2, [](Tag) { return false; }, &chk});
+    rename(f, alu(0, 1), 0);
+    rename(f, alu(1, 2), 1);
+    EXPECT_THROW(rename(f, alu(2, 3), 2), mop::verify::IntegrityError);
+    EXPECT_EQ(chk.violations(
+                  mop::verify::IntegrityChecker::Check::TagLiveness),
+              1u);
+}
+
+TEST(TagPool, RestoreReturnsWrongPathTags)
+{
+    MopPointerCache cache;
+    MopFormation f(false, cache, unnamedPool());
+    auto a = rename(f, alu(0, 1), 0);
+    f.checkpoint();
+    auto w1 = rename(f, alu(1, 1), 1);  // wrong path: displaces t0
+    auto w2 = rename(f, alu(2, 2), 2);
+    f.restoreToCheckpoint();
+    retire(f, w2);  // squash releases, youngest first
+    retire(f, w1);
+    // r1 maps t0 again; both wrong-path tags are free (LIFO).
+    FormOutcome c = f.process(alu(3, 2, 1), 3);
+    EXPECT_EQ(c.src[0], a.second);
+    EXPECT_EQ(c.dst, w1.second);
+    EXPECT_EQ(f.process(alu(4, 3), 4).dst, w2.second);
+    EXPECT_EQ(f.tagsMinted(), 3);
 }
 
 } // namespace

@@ -21,6 +21,15 @@ using mop::isa::OpClass;
 namespace sched = mop::sched;
 namespace core = mop::core;
 
+/** A pool for formation driven without commit feedback: no tag is
+ *  released, so none is ever checked against the issue queue. */
+core::TagPoolBinding
+unnamedPool()
+{
+    static mop::verify::IntegrityChecker chk;
+    return {1024, [](sched::Tag) { return false; }, &chk};
+}
+
 SchedParams
 mopParams(int size, int depth = 0)
 {
@@ -220,7 +229,7 @@ TEST(MopSizeFormation, ChainsFollowPerInstructionPointers)
     };
     wp(0, 1);
     wp(1, 1);
-    core::MopFormation f(true, cache, 3);
+    core::MopFormation f(true, cache, unnamedPool(), 3);
     auto mk = [&](uint64_t idx, int dst, int s0 = -1) {
         MicroOp u;
         u.pc = kPc + 4 * idx;
@@ -260,7 +269,7 @@ TEST(MopSizeFormation, UnsafePointerDoesNotExtendChain)
     p.chainSafe = false;
     p.tailPc = kPc + 12;
     cache.write(kPc + 4, p);
-    core::MopFormation f(true, cache, 4);
+    core::MopFormation f(true, cache, unnamedPool(), 4);
     MicroOp u;
     u.pc = kPc;
     u.op = OpClass::IntAlu;
@@ -286,7 +295,7 @@ TEST(MopSizeFormation, SizeTwoNeverChains)
         p.tailPc = kPc + 4 * (i + 1);
         cache.write(kPc + 4 * i, p);
     }
-    core::MopFormation f(true, cache, 2);
+    core::MopFormation f(true, cache, unnamedPool(), 2);
     MicroOp u;
     u.pc = kPc;
     u.op = OpClass::IntAlu;

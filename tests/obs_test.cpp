@@ -25,17 +25,14 @@
 #include "sweep/result_cache.hh"
 #include "trace/profiles.hh"
 #include "trace/trace_file.hh"
+#include "test_util.hh"
 
 namespace
 {
 
 using namespace mop;
 
-std::string
-tmpPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
+using mop::test::tmpPath;
 
 // ---------------------------------------------------------------------
 // Minimal recursive-descent JSON syntax checker, so the Chrome-trace

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <unistd.h>
 #include <cstring>
 #include <fstream>
 #include <numeric>
@@ -23,21 +22,14 @@
 #include "prog/kernels.hh"
 #include "sim/config.hh"
 #include "trace/trace_file.hh"
+#include "test_util.hh"
 
 namespace
 {
 
 using namespace mop;
 
-std::string
-tmpPath(const char *name)
-{
-    // PID-unique: ctest runs each case as its own process in
-    // parallel, and cases sharing a literal path race on
-    // write/read/remove.
-    return std::string(::testing::TempDir()) +
-           std::to_string(::getpid()) + "_" + name;
-}
+using mop::test::tmpPath;
 
 /** FNV-1a 64 over the rendered bytes: cheap, stable content pin. */
 uint64_t

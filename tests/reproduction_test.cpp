@@ -20,6 +20,7 @@
 #include "sim/config.hh"
 #include "trace/profiles.hh"
 #include "trace/trace_file.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -137,8 +138,8 @@ TEST(Reproduction, Figure13GroupedFractionBand)
 // vector is indexed by obs::StallCause (useful, frontend, iq-full,
 // rob-full, wakeup-wait, select-loss, replay, dcache-miss, drain,
 // wrong-path).
-// Regenerate a row with:
-//   build/src/sim/mopsim --bench <b> --machine <m> --iq 32 \
+// Regenerate a row with (one command line):
+//   build/src/sim/mopsim --bench <b> --machine <m> --iq 32
 //       --insts 20000 --report breakdown
 // ---------------------------------------------------------------------
 
@@ -270,11 +271,7 @@ TEST(Golden, PinnedIpcIsConsistent)
 // cycle-accurate ablation on the assembly kernels.
 // ---------------------------------------------------------------------
 
-std::string
-tmpPath(const std::string &name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
+using mop::test::tmpPath;
 
 /** Re-run a pinned configuration with the event trace on and analyze
  *  it. Tracing is pure observability, so this is the same simulation

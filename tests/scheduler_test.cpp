@@ -39,6 +39,57 @@ class Queue : public PerPolicyTest
 {
 };
 
+TEST(TagLiveness, RedefiningANamedTagTrips)
+{
+    // A Single or Head insert defines its tag; an entry still naming
+    // that tag would be woken or recalled by the wrong definition.
+    Harness h(Harness::params(LoopPolicy::Atomic));
+    h.s.insert(Harness::alu(0, 1, 5), h.now);  // consumer of tag 5
+    ASSERT_TRUE(h.s.tagNamed(5));
+    EXPECT_THROW(h.s.insert(Harness::alu(1, 5), h.now),
+                 mop::verify::IntegrityError);
+    EXPECT_EQ(h.s.integrity().violations(
+                  mop::verify::IntegrityChecker::Check::TagLiveness),
+              1u);
+}
+
+TEST(TagLiveness, ConsumerMatrixSurvivesTheAudit)
+{
+    // Sources added by heads and tails, split by a squash, and freed
+    // at completion keep the consumer matrix exact.
+    Harness h(Harness::params(LoopPolicy::TwoCycle));
+    h.s.insert(Harness::op(0, OpClass::IntMult, 0), h.now);
+    h.s.insert(Harness::op(1, OpClass::IntMult, 1), h.now);
+    int e = h.s.insert(Harness::alu(2, 2, 0), h.now, true);
+    ASSERT_TRUE(h.s.appendTail(e, Harness::alu(3, 2, 2, 1), h.now));
+    h.s.insert(Harness::alu(4, 3, 2, 1), h.now);
+    h.s.auditStructures();
+    h.s.squashAfter(2, h.now);
+    h.s.auditStructures();
+    EXPECT_TRUE(h.s.tagNamed(1));  // the split entry keeps its slot
+    EXPECT_TRUE(h.s.tagNamed(0));
+    h.runUntilIdle();
+    h.s.auditStructures();
+    EXPECT_FALSE(h.s.tagNamed(0));
+    EXPECT_FALSE(h.s.tagNamed(1));
+}
+
+TEST(TagLiveness, AuditCatchesAStrayConsumerBit)
+{
+    // A bit no source slot accounts for (a free that missed a clear)
+    // would keep its tag named for good; the audit reads the matrix
+    // itself, not a count kept beside it.
+    Harness h(Harness::params(LoopPolicy::Atomic));
+    h.s.insert(Harness::alu(0, 1, 5), h.now);
+    h.s.auditStructures();
+    h.s.setConsumerBitForTest(9, 40);  // entry 40 is free
+    EXPECT_TRUE(h.s.tagNamed(9));
+    EXPECT_THROW(h.s.auditStructures(), mop::verify::IntegrityError);
+    EXPECT_EQ(h.s.integrity().violations(
+                  mop::verify::IntegrityChecker::Check::TagLiveness),
+              1u);
+}
+
 TEST(Replay, LoadMissInvalidatesAndReplaysConsumer)
 {
     Harness h(Harness::params(LoopPolicy::Atomic));

@@ -15,6 +15,7 @@
 #include "core/matrix_render.hh"
 #include "trace/profiles.hh"
 #include "trace/trace_file.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -23,11 +24,7 @@ using namespace mop::trace;
 using mop::isa::MicroOp;
 using mop::isa::OpClass;
 
-std::string
-tmpPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
+using mop::test::tmpPath;
 
 TEST(TraceFile, RoundTripsSyntheticStream)
 {

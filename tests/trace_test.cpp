@@ -138,8 +138,9 @@ TEST(Synthetic, ControlTargetsAreBlockStarts)
     MicroOp u;
     for (int i = 0; i < 20000; ++i) {
         s.next(u);
-        if (u.isControl() && u.taken)
+        if (u.isControl() && u.taken) {
             ASSERT_TRUE(starts.count(u.target)) << std::hex << u.target;
+        }
     }
 }
 

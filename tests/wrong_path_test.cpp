@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <unistd.h>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
 #include "trace/wrong_path.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -34,15 +34,7 @@ using namespace mop;
 using trace::CycleEvent;
 using trace::WrongPathSynth;
 
-std::string
-tmpPath(const std::string &name)
-{
-    // PID-unique: ctest runs each case as its own process in
-    // parallel, and cases sharing a literal path race on
-    // write/read/remove.
-    return std::string(::testing::TempDir()) +
-           std::to_string(::getpid()) + "_" + name;
-}
+using mop::test::tmpPath;
 
 /** Drain one full episode into a vector of copies. */
 std::vector<isa::MicroOp>
